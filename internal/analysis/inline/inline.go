@@ -2,7 +2,7 @@
 // function must be inlinable, and every call to it from inside a
 // `//prio:nobce` or `//prio:noalloc` function must actually be inlined
 // by the compiler. The annotation marks the kernel's smallest hot
-// helpers (MinSet.Add/PopMin/Reset, fastKernel.nextOcc), whose cost
+// helpers (MinSet.Add/PopMin/Reset, wheel.nextOcc), whose cost
 // model assumes no call overhead on the drain path — and whose own
 // bounds-check-freedom the callers' //prio:nobce proofs silently
 // depend on, since an inlined body's checks land on the caller.

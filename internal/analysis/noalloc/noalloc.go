@@ -66,8 +66,8 @@
 // call path to the offending site, e.g.
 //
 //	(*Runner).Run is annotated //prio:noalloc but can reach a growing
-//	append at kernel.go:57 (path: (*Runner).Run → (*runState).run →
-//	(*eventQueue).appendBurst)
+//	append at wheel.go:166 (path: (*Runner).Run → (*runState).run →
+//	(*wheel).insert)
 package noalloc
 
 import (

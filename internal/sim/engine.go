@@ -49,10 +49,9 @@ type PointSample struct {
 	ExecTime, Stalling, Utilization [2][]float64 // [side][sample], side 0 = A
 }
 
-// comparisonFromSample rebuilds a point's Comparison from persisted
-// sampling distributions. It must aggregate exactly as finalizeTo's
-// live path does — same Summarize, same RatioInterval — so resumed rows
-// are indistinguishable from computed ones.
+// comparisonFromSample builds a point's Comparison from its sampling
+// distributions. Computed and resumed points both go through it, so
+// resumed rows are indistinguishable from computed ones.
 func comparisonFromSample(p Params, names [2]string, s PointSample, opts ExperimentOptions) Comparison {
 	var ms [2]PolicyMeasurements
 	for side := 0; side < 2; side++ {
@@ -215,22 +214,17 @@ func CompareGridResume(g *dag.Frozen, points []Params, a, b func() Policy, opts 
 				out[i] = comparisonFromSample(points[i], names, have[i], opts)
 			case computed:
 				ba, bb := &blocks[pointBlock[i]], &blocks[pointBlock[i]+1]
-				ma := assembleMeasurements(names[0], ba.execT, ba.stall, ba.util, opts)
-				mb := assembleMeasurements(names[1], bb.execT, bb.stall, bb.util, opts)
-				out[i] = Comparison{
-					Params:      points[i],
-					A:           ma,
-					B:           mb,
-					ExecTime:    stats.RatioInterval(ma.ExecTime, mb.ExecTime, opts.Confidence),
-					Stalling:    stats.RatioInterval(ma.Stalling, mb.Stalling, opts.Confidence),
-					Utilization: stats.RatioInterval(ma.Utilization, mb.Utilization, opts.Confidence),
+				dist := func(reps []float64) []float64 {
+					return stats.SamplingDistribution(reps, opts.P, opts.Q)
 				}
+				s := PointSample{
+					ExecTime:    [2][]float64{dist(ba.execT), dist(bb.execT)},
+					Stalling:    [2][]float64{dist(ba.stall), dist(bb.stall)},
+					Utilization: [2][]float64{dist(ba.util), dist(bb.util)},
+				}
+				out[i] = comparisonFromSample(points[i], names, s, opts)
 				if save != nil {
-					save(i, PointSample{
-						ExecTime:    [2][]float64{ma.ExecTime, mb.ExecTime},
-						Stalling:    [2][]float64{ma.Stalling, mb.Stalling},
-						Utilization: [2][]float64{ma.Utilization, mb.Utilization},
-					})
+					save(i, s)
 				}
 			}
 			if progress != nil {

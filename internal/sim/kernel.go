@@ -6,12 +6,14 @@
 // a Runner, so that in steady state a replication performs zero heap
 // allocations:
 //
-//   - completion events live in a sort-merge eventQueue (bursts of
-//     assignments are bulk-sorted and merged, pops advance an index)
-//     instead of container/heap, whose interface{} Push/Pop box every
-//     event and pay O(log w) dependent cache misses per sift at
-//     fan-out w — tens of thousands of in-flight jobs on the paper's
-//     SDSS dag;
+//   - completion events live in the calendar wheel both kernels share
+//     (wheel.go) instead of container/heap, whose interface{} Push/Pop
+//     box every event and pay O(log w) dependent cache misses per sift
+//     at fan-out w — tens of thousands of in-flight jobs on the paper's
+//     SDSS dag. This loop pops them one at a time in exact time order
+//     (ties in ascending job id), because order-sensitive policies and
+//     the failure and rollover branches consume randomness or build
+//     state in pop order;
 //   - the per-completion child walk reads the dag.Frozen's CSR arena
 //     directly (ChildCSR: one contiguous int32 array with absolute
 //     start offsets), so the kernel needs no adjacency flattening of
@@ -29,300 +31,8 @@ import (
 	"repro/internal/rng"
 )
 
-// completion is a pending job completion event.
-type completion struct {
-	at  float64
-	job int32
-}
-
-// eventHeap is an 8-ary min-heap of completion events ordered by time.
-// In the kernel it only backs eventQueue's overflow path (mid-drain
-// rollover assignments), so it is almost always empty or tiny; the bulk
-// of the event traffic goes through the queue's sorted array. Sifts
-// move a hole instead of swapping, with the same compare sequence (and
-// therefore the same final layout) as the textbook swap formulation.
-type eventHeap []completion
-
-//prio:noalloc
-func (h *eventHeap) push(ev completion) {
-	*h = append(*h, ev) // self-append: amortized high-water-mark growth
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := int(uint(i-1) / 8)
-		if s[parent].at <= ev.at {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = ev
-}
-
-// pop removes and returns the minimum event. It must not be called on
-// an empty heap.
-//
-//prio:noalloc
-func (h *eventHeap) pop() completion {
-	s := *h
-	min := s[0]
-	last := len(s) - 1
-	ev := s[last]
-	*h = s[:last]
-	s = s[:last]
-	if last == 0 {
-		return min
-	}
-	i := 0
-	for {
-		first := 8*i + 1
-		if first >= last {
-			break
-		}
-		smallest := first
-		end := first + 8
-		if end > last {
-			end = last
-		}
-		for c := first + 1; c < end; c++ {
-			if s[c].at < s[smallest].at {
-				smallest = c
-			}
-		}
-		if ev.at <= s[smallest].at {
-			break
-		}
-		s[i] = s[smallest]
-		i = smallest
-	}
-	s[i] = ev
-	return min
-}
-
-// eventQueue is the kernel's pending-completion queue, shaped around
-// the model's bursty event pattern: completions are pushed in bursts
-// when a batch of worker requests is assigned, and popped in long
-// uninterrupted runs while the simulation drains to the next batch
-// arrival. Instead of paying a heap sift per event — O(log w)
-// dependent cache misses on a wide dag with w in-flight jobs — the
-// queue appends each burst unsorted, sorts the live region once per
-// burst (pdqsort, which is near-linear on the already-sorted remainder
-// plus the new tail), and then pops by advancing an index: O(1) per
-// event, sequential memory.
-//
-// The one interleaving that pushes during a drain is the rollover
-// branch (workers waiting from an earlier under-filled batch grab jobs
-// the moment a completion makes them eligible). Those events go to a
-// small overflow min-heap, and pop/minAt take the smaller of the two
-// fronts, so extraction order is the exact global time order in every
-// case. Equal timestamps across the two structures (or within a sort,
-// which is unstable) are broken arbitrarily — as in any heap, and
-// unobservable in practice: job times are continuous, so exact ties
-// have measure zero.
-//
-// All backing arrays are truncated and reused across replications;
-// steady-state operation allocates nothing.
-type eventQueue struct {
-	buf     []completion // buf[head:sorted) ascending; buf[sorted:] unsorted appends
-	head    int
-	sorted  int
-	over    eventHeap    // small-burst and mid-drain pushes
-	scratch []completion // merge target, swapped with buf
-}
-
-//prio:noalloc
-func (q *eventQueue) reset() {
-	q.buf = q.buf[:0]
-	q.head = 0
-	q.sorted = 0
-	q.over = q.over[:0]
-}
-
-//prio:noalloc
-func (q *eventQueue) len() int { return len(q.buf) - q.head + len(q.over) }
-
-// appendBurst adds an event without restoring order. The caller must
-// normalize before the next minAt/pop. Used for batch-arrival
-// assignments, which never interleave with pops.
-//
-//prio:noalloc
-func (q *eventQueue) appendBurst(at float64, job int32) {
-	q.buf = append(q.buf, completion{at: at, job: job})
-}
-
-// pushSorted adds an event while the queue is live (mid-drain rollover
-// assignments). It goes to the overflow heap, keeping the sorted
-// region intact.
-//
-//prio:noalloc
-func (q *eventQueue) pushSorted(at float64, job int32) {
-	q.over.push(completion{at: at, job: job})
-}
-
-// sortCompletions orders s ascending by completion time: a
-// median-of-three quicksort (Sedgewick's sentinel formulation) over an
-// insertion-sort base case, hand-specialized to completion so the
-// float compares inline — slices.SortFunc pays an indirect call per
-// comparison, which dominated the kernel at wide fan-out. Completion
-// times are i.i.d. continuous draws, so adversarial pivot sequences
-// have probability zero and no pattern defense is needed.
-//
-//prio:noalloc
-func sortCompletions(s []completion) {
-	for len(s) > 24 {
-		// Median of first/middle/last becomes the pivot in s[0]; the
-		// ordering leaves a >= pivot sentinel at the top for the i scan
-		// and the pivot itself bounds the j scan.
-		m := len(s) / 2
-		l := len(s) - 1
-		if s[m].at < s[0].at {
-			s[m], s[0] = s[0], s[m]
-		}
-		if s[l].at < s[0].at {
-			s[l], s[0] = s[0], s[l]
-		}
-		if s[m].at < s[l].at {
-			s[m], s[l] = s[l], s[m]
-		}
-		s[0], s[l] = s[l], s[0] // pivot (median) to s[0], max of three to s[l]
-		v := s[0].at
-		i, j := 0, l+1
-		for {
-			for i++; s[i].at < v && i < l; i++ {
-			}
-			for j--; v < s[j].at; j-- {
-			}
-			if i >= j {
-				break
-			}
-			s[i], s[j] = s[j], s[i]
-		}
-		s[0], s[j] = s[j], s[0]
-		// Recurse into the smaller half, iterate on the larger.
-		if j < len(s)-j-1 {
-			sortCompletions(s[:j])
-			s = s[j+1:]
-		} else {
-			sortCompletions(s[j+1:])
-			s = s[:j]
-		}
-	}
-	for i := 1; i < len(s); i++ {
-		ev := s[i]
-		j := i - 1
-		for ; j >= 0 && s[j].at > ev.at; j-- {
-			s[j+1] = s[j]
-		}
-		s[j+1] = ev
-	}
-}
-
-// normalize restores the queue invariant after appendBurst calls. A
-// burst that is large relative to the live sorted region is sorted on
-// its own and then linearly merged with the region into the scratch
-// buffer — O(burst·log burst + live) with sequential memory access,
-// the case a heap handles worst. A small burst is instead fed to the
-// overflow heap, because an O(live) merge per handful of events would
-// be quadratic across the many small batches of a short-interarrival
-// grid point; with every burst small the queue degrades gracefully
-// into the plain heap it embeds. No-op when nothing was appended.
-//
-//prio:noalloc
-func (q *eventQueue) normalize() {
-	tail := len(q.buf) - q.sorted
-	if tail == 0 {
-		return
-	}
-	live := q.sorted - q.head
-	if tail*32 < live {
-		for _, ev := range q.buf[q.sorted:] {
-			q.over.push(ev)
-		}
-		q.buf = q.buf[:q.sorted]
-		return
-	}
-	// The overflow heap is deliberately left alone: folding it in here
-	// would re-sort the same events once per fold (quadratic when burst
-	// sizes oscillate around the threshold). Events enter the sorted
-	// region or the heap exactly once; pop drains both.
-	sortCompletions(q.buf[q.sorted:])
-	if live == 0 {
-		n := copy(q.buf, q.buf[q.sorted:])
-		q.buf = q.buf[:n]
-		q.head = 0
-		q.sorted = n
-		return
-	}
-	a, b := q.buf[q.head:q.sorted], q.buf[q.sorted:]
-	out := q.scratch[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].at <= b[j].at {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	q.scratch = q.buf[:0]
-	q.buf = out
-	q.head = 0
-	q.sorted = len(out)
-}
-
-// minAt returns the earliest pending completion time. The queue must
-// be normalized and non-empty; an empty queue panics, as the implicit
-// bounds check used to. Fields are hoisted to locals and the head index
-// compared as uint so the sorted-region reads carry no bounds checks.
-//
-//prio:noalloc
-//prio:nobce
-func (q *eventQueue) minAt() float64 {
-	buf, head, over := q.buf, q.head, q.over
-	if uint(head) < uint(len(buf)) {
-		if len(over) > 0 && over[0].at < buf[head].at {
-			return over[0].at
-		}
-		return buf[head].at
-	}
-	if len(over) > 0 {
-		return over[0].at
-	}
-	panic("sim: minAt on empty eventQueue")
-}
-
-// pop removes and returns the earliest event. The queue must be
-// normalized and non-empty; popping an empty queue panics in the
-// overflow heap, as the implicit bounds check here used to. Same
-// hoisted-local shape as minAt for the same bounds-check-free reason.
-//
-//prio:noalloc
-//prio:nobce
-func (q *eventQueue) pop() (float64, int32) {
-	buf, head, over := q.buf, q.head, q.over
-	if uint(head) < uint(len(buf)) {
-		if len(over) > 0 && over[0].at < buf[head].at {
-			ev := q.over.pop()
-			return ev.at, ev.job
-		}
-		ev := buf[head]
-		q.head = head + 1
-		if head+1 == len(buf) {
-			q.buf = buf[:0]
-			q.head = 0
-			q.sorted = 0
-		}
-		return ev.at, ev.job
-	}
-	ev := q.over.pop()
-	return ev.at, ev.job
-}
-
 // runState is the reusable per-worker state of one replication: the
-// remaining-parents counters and the completion-event queue. The dag
+// remaining-parents counters and the completion-event wheel. The dag
 // needs no per-Runner flattening — the shared dag.Frozen CSR layout
 // (one int32 arc arena with absolute childStart offsets, precomputed
 // indegrees and sources) is exactly the array pair the hot child walk
@@ -331,7 +41,7 @@ func (q *eventQueue) pop() (float64, int32) {
 // truncates them.
 type runState struct {
 	remaining []int32
-	pending   eventQueue
+	wheel     wheel
 	// fast is the order-free kernel (kernelfast.go) used when the
 	// policy and parameters admit it; noFast forces the ordered path
 	// (the differential tests compare the two).
@@ -339,13 +49,8 @@ type runState struct {
 	noFast bool
 }
 
-// reset prepares the state for a replication on g, reusing capacity.
-// The queue's backing arrays are pre-sized to the job count up front:
-// without failures a run inserts at most n events between full drains,
-// so paying the high-water allocation once here (instead of letting
-// append discover it) means steady state stops growing entirely — the
-// sdss benchmarks used to report ~13 KB/op of amortized regrowth from
-// seeds that set a new burst high-water mark mid-run.
+// reset prepares the remaining-parents counters for a replication on
+// g, reusing capacity.
 //
 //prio:noalloc
 func (st *runState) reset(g *dag.Frozen, n int) {
@@ -357,16 +62,6 @@ func (st *runState) reset(g *dag.Frozen, n int) {
 	for v := 0; v < n; v++ {
 		st.remaining[v] = int32(g.InDegree(v))
 	}
-	if cap(st.pending.buf) < n {
-		st.pending.buf = make([]completion, 0, n)
-	}
-	if cap(st.pending.scratch) < n {
-		st.pending.scratch = make([]completion, 0, n)
-	}
-	if cap(st.pending.over) < n {
-		st.pending.over = make(eventHeap, 0, n)
-	}
-	st.pending.reset()
 }
 
 // Runner owns the pooled state for repeated replications on one dag:
@@ -412,9 +107,9 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 
 	// Order-free fast path: when completions within a drain window are
 	// unobservable (set-semantics policy, no failures, no rollover, no
-	// observer) the sort-merge queue below is pure overhead — see
-	// kernelfast.go for the argument and the differential tests pinning
-	// the two paths bit-identical.
+	// observer) exact time order is pure overhead — see kernelfast.go
+	// for the argument and the differential tests pinning the two paths
+	// bit-identical.
 	if !st.noFast {
 		if o, ok := fastPathOK(p, pol, obs); ok {
 			return st.runFast(g, p, o, src)
@@ -422,6 +117,8 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 	}
 
 	st.reset(g, n)
+	wh := &st.wheel
+	wh.reset(p, n)
 	remaining := st.remaining // unexecuted parents
 	childStart, children := g.ChildCSR()
 	pol.Start(g, src)
@@ -439,10 +136,8 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 
 	// assign does not escape run, so the closure and the variables it
 	// captures stay on the stack (the kernel's zero-alloc tests would
-	// catch a regression). mid says whether the queue is live (a
-	// rollover assignment during the drain) or between drains (a
-	// batch-arrival burst, folded in by the next normalize).
-	assign := func(v int, mid bool) {
+	// catch a regression).
+	assign := func(v int) {
 		if obs != nil {
 			obs.Assigned(now, v)
 		}
@@ -455,20 +150,18 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 		if d < 1e-3 {
 			d = 1e-3 // a job cannot run backwards in time
 		}
-		if mid {
-			st.pending.pushSorted(now+d, int32(v))
-		} else {
-			st.pending.appendBurst(now+d, int32(v))
-		}
+		wh.insert(now+d, int32(v))
 	}
 
 	for executed < n {
 		// Advance to the earlier of the next batch arrival and the next
 		// completion. Completions at the same instant as a batch are
 		// processed first: their children are eligible for that batch.
-		st.pending.normalize()
-		for st.pending.len() > 0 && (unassigned == 0 || st.pending.minAt() <= nextBatch) {
-			at, job := st.pending.pop()
+		for {
+			at, job, ok := wh.popBefore(nextBatch, unassigned == 0)
+			if !ok {
+				break
+			}
 			now = at
 			if p.FailureProb > 0 && src.Float64() < p.FailureProb {
 				// The worker failed: the job is unexecuted and eligible
@@ -493,13 +186,16 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 				}
 			}
 			// Rolled-over workers take newly eligible jobs immediately.
+			if waiting > 0 {
+				wh.advance(now)
+			}
 			for waiting > 0 && unassigned > 0 {
 				v, ok := pol.Next()
 				if !ok {
 					break
 				}
 				waiting--
-				assign(v, true)
+				assign(v)
 			}
 		}
 		if executed == n {
@@ -511,6 +207,7 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 
 		// Batch arrival.
 		now = nextBatch
+		wh.advance(now)
 		size := batchSize(src, p.BatchSize)
 		batches++
 		requests += size
@@ -521,7 +218,7 @@ func (st *runState) run(g *dag.Frozen, p Params, pol Policy, src *rng.Source, ob
 				break
 			}
 			served++
-			assign(v, false)
+			assign(v)
 		}
 		if served == 0 {
 			stalls++

@@ -1,14 +1,12 @@
-// The order-free fast path of the replication kernel. The sort-merge
-// eventQueue in kernel.go exists to pop completions in exact global
-// time order, because order-sensitive policies (FIFO's eligibility
-// queue, Random's index draws, TwoLevel's DAGMan queue) and the
-// failure/rollover branches consume randomness or build state in pop
-// order. For the paper's headline policy that machinery is pure
-// overhead: an Oblivious policy is a *set* — Next pops the minimum
-// rank of the eligible set, a pure function of the set's contents — so
-// between two batch arrivals the order in which completions are
-// processed is unobservable. Profiling the SDSS kernel shows the burst
-// sort alone is ~40% of a replication; this file removes it.
+// The order-free fast path of the replication kernel. The ordered
+// kernel in kernel.go pops completions in exact global time order,
+// because order-sensitive policies (FIFO's eligibility queue, Random's
+// index draws, TwoLevel's DAGMan queue) and the failure/rollover
+// branches consume randomness or build state in pop order. For the
+// paper's headline policy that ordering is pure overhead: an Oblivious
+// policy is a *set* — Next pops the minimum rank of the eligible set, a
+// pure function of the set's contents — so between two batch arrivals
+// the order in which completions are processed is unobservable.
 //
 // runFast exploits the order freedom three ways, each differential-
 // tested bit-identical to the ordered path (fuzz_test.go compares it
@@ -16,70 +14,41 @@
 // reference; the engine goldens pin it to the pre-refactor driver):
 //
 //   - batched event drains: all completions in the window (prevBatch,
-//     nextBatch] are processed in one pass, in bucket order rather than
-//     time order. Only their *set* matters: the running maximum
-//     reproduces lastCompletion (windows are disjoint in time, so the
-//     global maximum is popped in the final window either way), and the
-//     eligible set after the window is order-independent.
+//     nextBatch] leave the shared calendar wheel (wheel.go) in one
+//     wholesale drain, in bucket order rather than time order, and no
+//     bucket is ever sorted. Only their *set* matters: the maximum
+//     insert time reproduces lastCompletion (windows are disjoint in
+//     time, so the global maximum is popped in the final window either
+//     way), and the eligible set after the window is order-independent.
 //   - incremental eligibility straight into bitset words: the
-//     completion→children walk decrements fused {remaining, rank}
-//     records and sets the rank bit in a bitset.MinSet directly — no
-//     interface dispatch per child, no per-policy indirection — and
-//     assignment pops ranks via MinSet.PopMin's word-level
-//     trailing-zero scan from its cached minimum word index.
+//     completion→children walk decrements remaining-parent counters
+//     and sets the rank bit in a bitset.MinSet directly — no interface
+//     dispatch per child, no per-policy indirection — and assignment
+//     pops ranks via MinSet.PopMin's word-level trailing-zero scan from
+//     its cached minimum word index.
 //   - cache-conscious layout: the kernel runs in a topo-relabeled id
 //     space. The CSR arc arena and every per-node array (remaining,
 //     rank, initial indegree) are ordered by the frozen topological
 //     order, so the child walk of a just-completed node touches a
-//     contiguous region instead of striding the original id space, and
-//     remaining+rank share one 8-byte record — one cache line serves
-//     both the decrement and the eligibility insert.
+//     contiguous region instead of striding the original id space.
 //
-// Pending completions live in a bucket calendar (a single-level timing
-// wheel): one flat event arena pre-sized to the job count (a job is
-// assigned at most once on this path — no failures — so the arena
-// cannot overflow) threaded into fastBuckets intrusive lists by
-// truncated time. A drain visits only the buckets the window covers;
-// the one bucket straddling the window boundary is partially drained
-// by comparison and its survivors relinked. Bucket indexing uses
-// int(t*invW), and IEEE multiplication by a positive constant is
-// monotone, so t <= T implies bucket(t) <= bucket(T): the boundary
-// bucket is always the last one visited and no event <= T can hide in
-// a later bucket. Events past the wheel's horizon (a job time more
-// than ~8 sigma above the mean) chain into an overflow list guarded by
-// a running minimum; it is empty in any realistic replication.
+// No failures means each job is inserted once, so the wheel's arena,
+// sized to the job count, never needs its free list here.
 package sim
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/dag"
 	"repro/internal/rng"
 )
 
-// fastBuckets is the wheel size (a power of two). The wheel spans
-// 2*(JobTimeMean+8*JobTimeStdDev), so at the paper's N(1, 0.1) job
-// times one bucket covers ~3.5ms of simulated time and a burst of 8192
-// assignments spreads across ~230 buckets.
-const fastBuckets = 1024
-
-// fastEvent is one pending completion in the calendar's arena: the
-// completion time, the topo-relabeled job id, and the arena index of
-// the next event in the same bucket (-1 ends the chain).
-type fastEvent struct {
-	at   float64
-	job  int32
-	next int32
-}
-
 // fastKernel is the pooled state of the order-free path, owned by a
 // runState and rebuilt only when the policy instance (and with it the
 // total order) changes. All buffers are pre-sized from the dag at
-// build time — the event arena to the exact job count — so steady
-// state performs zero heap allocations and zero buffer growth.
+// build time, so steady state performs zero heap allocations and zero
+// buffer growth.
 //
 // rem and rank are deliberately separate arrays, not one fused record:
 // the completion walk decrements rem once per arc but reads rank only
@@ -101,32 +70,6 @@ type fastKernel struct {
 	nSources   int
 
 	elig bitset.MinSet
-
-	// Bucket calendar. heads is a fixed-size array — not a slice — so
-	// that masked bucket indexing (vi & (fastBuckets-1), plus the
-	// constant overflow slot) is provably in-bounds and the hot drain
-	// and insert loops compile without bounds checks.
-	events  []fastEvent
-	heads   [fastBuckets + 1]int32 // fastBuckets ring slots + 1 overflow slot
-	invW    float64                // buckets per unit simulated time
-	baseVi  int                    // wheel base: all live ring events are in [baseVi, baseVi+fastBuckets)
-	minVi   int                    // lowest bucket that may hold a live ring event
-	live    int                    // events in the ring
-	overCnt int                    // events in the overflow chain
-	overMin float64                // minimum time in the overflow chain
-	// occ summarizes which ring slots are non-empty, one bit per
-	// bucket, so a drain jumps empty ranges by trailing-zero scans
-	// instead of probing heads bucket by bucket — at short batch
-	// interarrivals most windows cover hundreds of buckets holding a
-	// handful of events.
-	occ [fastBuckets / 64]uint64
-	// maxIns is the latest completion time ever scheduled. On this path
-	// every scheduled event completes (there are no failures), and drain
-	// windows partition time in increasing order, so the ordered
-	// kernel's lastCompletion — the time of the final pop — is exactly
-	// the maximum insert time. Tracking it here removes the per-event
-	// max comparison from the drain loops.
-	maxIns float64
 }
 
 // fastPathOK reports whether the order-free path may run: the policy
@@ -211,37 +154,16 @@ func (k *fastKernel) build(g *dag.Frozen, o *Oblivious, order []int) {
 		k.rank[j] = int32(r)
 	}
 	k.nSources = len(g.Sources())
-	if cap(k.events) < n {
-		k.events = make([]fastEvent, 0, n)
-	}
 }
 
 // start resets the kernel for one replication: remaining-parents
-// counters from the precomputed indegrees, an empty calendar sized for
-// p's job-time distribution, and the eligible set seeded with the
-// sources' ranks.
+// counters from the precomputed indegrees and the eligible set seeded
+// with the sources' ranks.
 //
 //prio:noalloc
 //prio:nobce
-func (k *fastKernel) start(p Params) {
+func (k *fastKernel) start() {
 	copy(k.rem, k.initRem)
-	k.events = k.events[:0]
-	for i := range k.heads {
-		k.heads[i] = -1
-	}
-	for i := range k.occ {
-		k.occ[i] = 0
-	}
-	// The wheel spans twice the effective job-time range, so an insert
-	// at now+d lands at most fastBuckets/2+1 buckets past the base.
-	span := p.JobTimeMean + 8*p.JobTimeStdDev + 1e-3
-	k.invW = float64(fastBuckets/2) / span
-	k.baseVi = 0
-	k.minVi = math.MaxInt
-	k.live = 0
-	k.overCnt = 0
-	k.overMin = math.Inf(1)
-	k.maxIns = 0
 	rank := k.rank
 	nSources := k.nSources
 	if nSources > len(rank) {
@@ -251,43 +173,6 @@ func (k *fastKernel) start(p Params) {
 	for i := 0; i < nSources; i++ {
 		k.elig.Add(int(rank[i]))
 	}
-}
-
-// insert schedules the completion of job (topo-relabeled) at time at.
-// Both slot values are provably in-bounds for the heads array: the ring
-// branch masks with fastBuckets-1 and the overflow branch uses the
-// constant last slot.
-//
-//prio:noalloc
-//prio:nobce
-func (k *fastKernel) insert(at float64, job int32) {
-	if at > k.maxIns {
-		k.maxIns = at
-	}
-	i := int32(len(k.events))
-	vi := int(at * k.invW)
-	slot := uint(fastBuckets)
-	if vi-k.baseVi < fastBuckets {
-		slot = uint(vi) & (fastBuckets - 1)
-		k.occ[(slot>>6)&(fastBuckets/64-1)] |= 1 << (slot & 63)
-		if vi < k.minVi {
-			k.minVi = vi
-		}
-		k.live++
-	} else {
-		if at < k.overMin {
-			k.overMin = at
-		}
-		k.overCnt++
-	}
-	// The clamp never fires (slot is fastBuckets or a masked ring
-	// index); it hands the prover the upper bound the branch merge
-	// loses, so both heads accesses are check-free.
-	if slot > fastBuckets {
-		slot = fastBuckets
-	}
-	k.events = append(k.events, fastEvent{at: at, job: job, next: k.heads[slot]})
-	k.heads[slot] = i
 }
 
 // complete processes one completion: walk the children sequentially in
@@ -334,134 +219,6 @@ func (k *fastKernel) complete(job int32) {
 	}
 }
 
-// nextOcc returns the ring distance from slot s to the nearest
-// occupied slot at or after s, wrapping past the top of the ring. The
-// ring must be non-empty (live > 0), or the scan would not terminate.
-// s must be an in-range slot (callers mask with fastBuckets-1); the
-// word index mask makes that provable, so the occupancy scan carries
-// no bounds checks.
-//
-//prio:noalloc
-//prio:nobce
-//prio:inline
-func (k *fastKernel) nextOcc(s int) int {
-	w := (s >> 6) & (fastBuckets/64 - 1)
-	if word := k.occ[w] >> (uint(s) & 63); word != 0 {
-		return bits.TrailingZeros64(word)
-	}
-	for d := 1; ; d++ {
-		if word := k.occ[(w+d)&(fastBuckets/64-1)]; word != 0 {
-			return d<<6 - s&63 + bits.TrailingZeros64(word)
-		}
-	}
-}
-
-// drain processes every pending completion with time <= T (all of them
-// when all is set), in bucket order, and returns how many completed.
-// Whole buckets strictly before the boundary complete without any
-// comparison; the boundary bucket is filtered by comparison and its
-// survivors relinked.
-//
-// The bucket chains walk with uint(i) < uint(len(events)) as the loop
-// condition: it folds the chain-end test (next == -1 wraps to a huge
-// uint) and the arena bound into one compare, so the event loads carry
-// no bounds checks. An in-range but corrupt chain index would end the
-// walk early instead of panicking; arena indices come only from append
-// positions in insert, so no such index exists.
-//
-//prio:noalloc
-//prio:nobce
-func (k *fastKernel) drain(T float64, all bool) int {
-	done := 0
-	events := k.events
-	if k.live > 0 {
-		Tvi := int(T * k.invW)
-		if all || k.minVi <= Tvi {
-			vi := k.minVi
-			for k.live > 0 {
-				// Jump to the next occupied bucket; the live invariant
-				// guarantees it is within one full ring turn of vi.
-				vi += k.nextOcc(vi & (fastBuckets - 1))
-				if !all && vi > Tvi {
-					break
-				}
-				slot := vi & (fastBuckets - 1)
-				if all || vi < Tvi {
-					// The whole bucket is inside the window.
-					for i := int(k.heads[slot]); uint(i) < uint(len(events)); i = int(events[i].next) {
-						k.complete(events[i].job)
-						done++
-						k.live--
-					}
-					k.heads[slot] = -1
-					k.occ[(slot>>6)&(fastBuckets/64-1)] &^= 1 << (uint(slot) & 63)
-				} else {
-					// Boundary bucket: filter by time, relink survivors.
-					nh := int32(-1)
-					for i := int(k.heads[slot]); uint(i) < uint(len(events)); {
-						ev := &events[i]
-						next := int(ev.next)
-						if ev.at <= T {
-							k.complete(ev.job)
-							done++
-							k.live--
-						} else {
-							ev.next = nh
-							nh = int32(i)
-						}
-						i = next
-					}
-					k.heads[slot] = nh
-					if nh < 0 {
-						k.occ[(slot>>6)&(fastBuckets/64-1)] &^= 1 << (uint(slot) & 63)
-					}
-					break
-				}
-				vi++
-			}
-			k.minVi = vi
-		}
-		if !all {
-			// The wheel base follows the drain threshold: every live ring
-			// event is now > T, i.e. in [Tvi, Tvi+fastBuckets).
-			k.baseVi = Tvi
-			if k.minVi < Tvi {
-				k.minVi = Tvi
-			}
-		}
-		if k.live == 0 {
-			// Empty ring: forget the stale walk start so a sparse later
-			// insert does not leave minVi pointing at drained buckets.
-			k.minVi = math.MaxInt
-		}
-	} else if !all {
-		k.baseVi = int(T * k.invW)
-	}
-	if k.overCnt > 0 && (all || k.overMin <= T) {
-		nh := int32(-1)
-		min := math.Inf(1)
-		for i := int(k.heads[fastBuckets]); uint(i) < uint(len(events)); {
-			ev := &events[i]
-			next := int(ev.next)
-			if all || ev.at <= T {
-				k.complete(ev.job)
-				done++
-				k.overCnt--
-			} else {
-				if ev.at < min {
-					min = ev.at
-				}
-				ev.next = nh
-				nh = int32(i)
-			}
-			i = next
-		}
-		k.heads[fastBuckets] = nh
-		k.overMin = min
-	}
-	return done
-}
-
 // runFast is the order-free replication loop. It consumes randomness
 // in exactly the order the ordered kernel does — batch size, then one
 // job time per assignment in rank order, then the interarrival draw —
@@ -489,16 +246,19 @@ func (st *runState) runFast(g *dag.Frozen, p Params, o *Oblivious, src *rng.Sour
 		k.build(g, o, sr.StaticOrder())
 	}
 	n := g.NumNodes()
-	k.start(p)
+	k.start()
+	wh := &st.wheel
+	wh.reset(p, n)
 
 	now := 0.0
+	maxIns := 0.0 // the latest scheduled completion
 	nextBatch := 0.0
 	unassigned := n
 	executed := 0
 	batches, stalls, requests := 0, 0, 0
 
 	for executed < n {
-		executed += k.drain(nextBatch, unassigned == 0)
+		executed += wh.drain(nextBatch, unassigned == 0, k)
 		if executed == n {
 			break
 		}
@@ -527,7 +287,11 @@ func (st *runState) runFast(g *dag.Frozen, p Params, o *Oblivious, src *rng.Sour
 			if d < 1e-3 {
 				d = 1e-3 // a job cannot run backwards in time
 			}
-			k.insert(now+d, jobOfRank[r])
+			at := now + d
+			if at > maxIns {
+				maxIns = at
+			}
+			wh.insert(at, jobOfRank[r])
 		}
 		if served == 0 {
 			stalls++
@@ -538,7 +302,7 @@ func (st *runState) runFast(g *dag.Frozen, p Params, o *Oblivious, src *rng.Sour
 	// Every scheduled event completed and drain windows advance in time,
 	// so the latest insert is the ordered kernel's final pop.
 	m := Metrics{
-		ExecutionTime: k.maxIns,
+		ExecutionTime: maxIns,
 		Batches:       batches,
 		Requests:      requests,
 	}

@@ -184,11 +184,14 @@ func TestRankHookSeam(t *testing.T) {
 	}
 }
 
-// TestFastCalendar drives the bucket calendar white-box: inserts across
-// the ring, past the horizon (the overflow chain — unreachable through
-// the kernel's clamped Normal draws, so exercised directly here),
-// boundary buckets with survivors, and drain-all. The dag has no arcs,
-// so complete() is a no-op and the calendar mechanics are isolated.
+// TestFastCalendar drives the wheel's order-free drain white-box:
+// inserts across the ring, past the horizon (the overflow chain —
+// unreachable through the kernel's clamped Normal draws, so exercised
+// directly here), boundary buckets with survivors, and drain-all. The
+// dag has no arcs, so complete() is a no-op and the wheel mechanics are
+// isolated. It also pins the span rule: per-job means widen the ring to
+// the largest mean, so their completions stay out of the overflow
+// chain.
 func TestFastCalendar(t *testing.T) {
 	b := dag.NewWithCapacity(4)
 	for _, name := range []string{"a", "b", "c", "d"} {
@@ -196,55 +199,54 @@ func TestFastCalendar(t *testing.T) {
 	}
 	g := b.MustFreeze()
 	o := NewOblivious("ID", []int{0, 1, 2, 3})
-
 	var k fastKernel
 	k.build(g, o, o.StaticOrder())
-	k.start(DefaultParams(1, 8)) // span ≈ 1.8, invW ≈ 284 buckets/unit
+	k.start()
 
+	var w wheel
+	w.reset(DefaultParams(1, 8), 4) // span ≈ 1.8, invW ≈ 284 buckets/unit
+	drained := func(T float64, all bool, want int) {
+		t.Helper()
+		if got := w.drain(T, all, &k); got != want {
+			t.Fatalf("drain(%g, %v) = %d, want %d", T, all, got, want)
+		}
+	}
 	// Two events inside the first window, one past it, one beyond the
 	// ring horizon (at 2*span from the base).
-	k.insert(0.5, 0)
-	k.insert(1.0, 1)
-	k.insert(1.5, 2)
-	k.insert(9.0, 3)
-	if k.live != 3 || k.overCnt != 1 {
-		t.Fatalf("live=%d overCnt=%d, want 3 ring + 1 overflow", k.live, k.overCnt)
+	w.insert(0.5, 0)
+	w.insert(1.0, 1)
+	w.insert(1.5, 2)
+	w.insert(9.0, 3)
+	if w.live != 3 || w.heads[wheelBuckets] < 0 {
+		t.Fatalf("live=%d overflow head=%d, want 3 ring + 1 overflow", w.live, w.heads[wheelBuckets])
 	}
-	if k.overMin != 9.0 {
-		t.Fatalf("overMin=%g, want 9", k.overMin)
-	}
-	if got := k.drain(1.0, false); got != 2 {
-		t.Fatalf("drain(1.0)=%d, want 2 (0.5 and the boundary 1.0)", got)
-	}
-	if k.live != 1 {
-		t.Fatalf("live=%d after first window, want 1 survivor", k.live)
+	drained(1.0, false, 2) // 0.5 and the boundary 1.0
+	if w.live != 1 {
+		t.Fatalf("live=%d after first window, want 1 survivor", w.live)
 	}
 	// The survivor at 1.5 drains once the window passes it; the
 	// overflow event stays beyond its horizon.
-	if got := k.drain(2.0, false); got != 1 {
-		t.Fatalf("drain(2.0)=%d, want the 1.5 survivor", got)
-	}
-	if k.overCnt != 1 {
-		t.Fatalf("overflow drained early: overCnt=%d", k.overCnt)
-	}
+	drained(2.0, false, 1)
 	// drain-all collects the overflow chain (T is ignored).
-	if got := k.drain(0, true); got != 1 {
-		t.Fatalf("drain(all)=%d, want the overflow event", got)
-	}
-	if k.live != 0 || k.overCnt != 0 {
-		t.Fatalf("calendar not empty after drain-all: live=%d over=%d", k.live, k.overCnt)
-	}
-	if k.maxIns != 9.0 {
-		t.Fatalf("maxIns=%g, want 9", k.maxIns)
+	drained(0, true, 1)
+	if w.live != 0 || w.heads[wheelBuckets] >= 0 {
+		t.Fatalf("calendar not empty after drain-all: live=%d overflow head=%d", w.live, w.heads[wheelBuckets])
 	}
 
-	// A second start on the same kernel must fully reset the calendar.
-	k.start(DefaultParams(1, 8))
-	if k.live != 0 || k.overCnt != 0 || k.maxIns != 0 {
-		t.Fatalf("start did not reset: live=%d over=%d maxIns=%g", k.live, k.overCnt, k.maxIns)
+	// A second reset on the same wheel must fully empty it.
+	w.insert(0.75, 1)
+	w.reset(DefaultParams(1, 8), 4)
+	if w.live != 0 || len(w.events) != 0 {
+		t.Fatalf("reset did not empty the wheel: live=%d arena=%d", w.live, len(w.events))
 	}
-	k.insert(0.25, 2)
-	if got := k.drain(0.5, false); got != 1 {
-		t.Fatalf("drain after reset=%d, want 1", got)
+	w.insert(0.25, 2)
+	drained(0.5, false, 1)
+
+	p := DefaultParams(1, 8)
+	p.JobMeans = []float64{0.5, 50}
+	w.reset(p, 2)
+	w.insert(60, 1)
+	if w.live != 1 || w.heads[wheelBuckets] >= 0 {
+		t.Fatalf("a completion within the largest job mean's range overflowed the ring (live=%d)", w.live)
 	}
 }
