@@ -139,6 +139,7 @@ fuzz:
 # equivalence, response determinism and well-formedness through the
 # real mux).
 fuzz-smoke:
+	$(GO) test ./internal/dagman -run xxx -fuzz 'FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/dagman -run xxx -fuzz FuzzParseDAGMan -fuzztime 10s
 	$(GO) test ./internal/core -run xxx -fuzz FuzzSchedule -fuzztime 10s
 	$(GO) test ./internal/sim -run xxx -fuzz FuzzKernelReplication -fuzztime 10s

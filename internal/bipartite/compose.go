@@ -59,9 +59,7 @@ func Compose(blocks []*dag.Frozen) (*dag.Frozen, error) {
 			}
 		}
 		for _, a := range b.Arcs() {
-			if !out.HasArc(local[a.From], local[a.To]) {
-				out.MustAddArc(local[a.From], local[a.To])
-			}
+			out.MustAddArc(local[a.From], local[a.To])
 		}
 	}
 	f, err := out.Freeze()

@@ -29,7 +29,7 @@ func decodeDAG(data []byte) *dag.Frozen {
 		if u > v {
 			u, v = v, u
 		}
-		g.AddArc(u, v) // duplicate arcs are rejected; skipping them is the point
+		g.AddArc(u, v) // repeated arcs collapse to one at Freeze
 	}
 	return g.MustFreeze()
 }

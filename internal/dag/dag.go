@@ -9,7 +9,9 @@
 // acyclicity once and produces a Frozen — an immutable compressed-
 // sparse-row view with forward and backward adjacency packed into one
 // shared arc arena, interned job names, and precomputed indegrees and
-// topological order. Every analysis pass (transitive reduction,
+// topological order. Every Frozen built from an arc list, by Freeze or
+// by a parser holding its own name table, goes through FromArcs, which
+// keeps a repeated arc once. Every analysis pass (transitive reduction,
 // decomposition, scheduling, simulation) consumes the Frozen form, so
 // the whole pipeline shares a single allocation-lean representation.
 // Nodes are dense integer indices in insertion order; every node also
@@ -29,12 +31,8 @@ type Builder struct {
 	index   map[string]int
 	arcFrom []int32 // arc i runs arcFrom[i] -> arcTo[i], insertion order
 	arcTo   []int32
-	arcSet  map[arcKey]struct{}
 	outdeg  []int32
-	indeg   []int32
 }
-
-type arcKey struct{ u, v int32 }
 
 // New returns an empty builder.
 func New() *Builder {
@@ -48,7 +46,6 @@ func NewWithCapacity(n int) *Builder {
 		names:  make([]string, 0, n),
 		index:  make(map[string]int, n),
 		outdeg: make([]int32, 0, n),
-		indeg:  make([]int32, 0, n),
 	}
 }
 
@@ -62,34 +59,25 @@ func (b *Builder) AddNode(name string) int {
 	b.names = append(b.names, name)
 	b.index[name] = i
 	b.outdeg = append(b.outdeg, 0)
-	b.indeg = append(b.indeg, 0)
 	return i
 }
 
 // AddArc adds the dependency u -> v. It panics on out-of-range indices and
-// returns an error for self-loops and duplicate arcs.
+// returns an error for self-loops. Adding an arc again is harmless: Freeze
+// keeps its first occurrence.
 func (b *Builder) AddArc(u, v int) error {
 	b.checkNode(u)
 	b.checkNode(v)
 	if u == v {
 		return fmt.Errorf("dag: self-loop on node %d (%s)", u, b.names[u])
 	}
-	k := arcKey{int32(u), int32(v)}
-	if _, dup := b.arcSet[k]; dup {
-		return fmt.Errorf("dag: duplicate arc %s -> %s", b.names[u], b.names[v])
-	}
-	if b.arcSet == nil {
-		b.arcSet = make(map[arcKey]struct{})
-	}
-	b.arcSet[k] = struct{}{}
 	b.arcFrom = append(b.arcFrom, int32(u))
 	b.arcTo = append(b.arcTo, int32(v))
 	b.outdeg[u]++
-	b.indeg[v]++
 	return nil
 }
 
-// MustAddArc is AddArc for construction code where duplicates are bugs.
+// MustAddArc is AddArc for construction code where a self-loop is a bug.
 func (b *Builder) MustAddArc(u, v int) {
 	if err := b.AddArc(u, v); err != nil {
 		panic(err)
@@ -104,9 +92,6 @@ func (b *Builder) checkNode(v int) {
 
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return len(b.names) }
-
-// NumArcs returns the number of arcs added so far.
-func (b *Builder) NumArcs() int { return len(b.arcFrom) }
 
 // Name returns the name of node v.
 func (b *Builder) Name(v int) string {
@@ -134,64 +119,15 @@ func (b *Builder) Sinks() []int {
 	return out
 }
 
-// HasArc reports whether the arc u -> v has been added.
-func (b *Builder) HasArc(u, v int) bool {
-	b.checkNode(u)
-	b.checkNode(v)
-	_, ok := b.arcSet[arcKey{int32(u), int32(v)}]
-	return ok
-}
-
 // Freeze validates acyclicity and converts the accumulated nodes and
-// arcs into the immutable CSR form. Adjacency preserves AddArc order:
-// Children(u) lists v in the order AddArc(u, v) was called, and
-// Parents(v) lists u in the order AddArc(u, v) was called. The builder
-// may be discarded (or kept growing toward a later, separate Freeze)
-// afterwards; the Frozen shares nothing mutable with it.
+// arcs into the immutable CSR form (see FromArcs): Children(u) lists v
+// in the order AddArc(u, v) was first called, a repeated arc is kept
+// once, and Parents(v) lists its parents in ascending index order. The
+// builder may be discarded (or kept growing toward a later, separate
+// Freeze) afterwards; the Frozen shares nothing mutable with it.
 func (b *Builder) Freeze() (*Frozen, error) {
 	n := len(b.names)
-	m := len(b.arcFrom)
-	f := &Frozen{
-		names:       b.names[:len(b.names):len(b.names)],
-		index:       b.index,
-		numArcs:     m,
-		childStart:  make([]int32, n+1),
-		parentStart: make([]int32, n+1),
-		arena:       make([]int32, 2*m),
-	}
-	// Two stable counting sorts over the insertion-order arc list: by
-	// source into the children region, by target into the parents
-	// region. Stability is what preserves per-node AddArc order.
-	next := make([]int32, n)
-	var sum int32
-	for v := 0; v < n; v++ {
-		f.childStart[v] = sum
-		next[v] = sum
-		sum += b.outdeg[v]
-	}
-	f.childStart[n] = sum
-	for i := 0; i < m; i++ {
-		u := b.arcFrom[i]
-		f.arena[next[u]] = b.arcTo[i]
-		next[u]++
-	}
-	base := int32(m)
-	sum = base
-	for v := 0; v < n; v++ {
-		f.parentStart[v] = sum
-		next[v] = sum
-		sum += b.indeg[v]
-	}
-	f.parentStart[n] = sum
-	for i := 0; i < m; i++ {
-		v := b.arcTo[i]
-		f.arena[next[v]] = b.arcFrom[i]
-		next[v]++
-	}
-	if err := f.finish(next[:0]); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return FromArcs(b.names[:n:n], b.index, b.arcFrom, b.arcTo)
 }
 
 // MustFreeze is Freeze for construction code where a cycle is a bug.

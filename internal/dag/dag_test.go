@@ -77,14 +77,42 @@ func TestAddArcErrors(t *testing.T) {
 	if err := b.AddArc(a, bb); err != nil {
 		t.Fatalf("first arc rejected: %v", err)
 	}
-	if err := b.AddArc(a, bb); err == nil {
-		t.Fatal("duplicate arc accepted")
+	if err := b.AddArc(a, bb); err != nil {
+		t.Fatalf("repeated arc rejected: %v", err)
 	}
-	if b.NumArcs() != 1 {
-		t.Fatalf("NumArcs = %d, want 1", b.NumArcs())
+	g := b.MustFreeze()
+	if g.NumArcs() != 1 {
+		t.Fatalf("NumArcs = %d, want 1 (repeat collapsed)", g.NumArcs())
 	}
-	if !b.HasArc(a, bb) || b.HasArc(bb, a) {
-		t.Fatal("builder HasArc wrong")
+	if !g.HasArc(a, bb) || g.HasArc(bb, a) {
+		t.Fatal("HasArc wrong")
+	}
+}
+
+func TestFreezeCollapsesRepeatedArcs(t *testing.T) {
+	// A repeated arc keeps its first occurrence's position among the
+	// children, wherever the repeat comes.
+	b := New()
+	for _, n := range []string{"a", "b", "c", "d"} {
+		b.AddNode(n)
+	}
+	for _, v := range []int{2, 1, 2, 3, 1, 2} {
+		b.MustAddArc(0, v)
+	}
+	b.MustAddArc(1, 3)
+	b.MustAddArc(1, 3)
+	g := b.MustFreeze()
+	if g.NumArcs() != 4 {
+		t.Fatalf("NumArcs = %d, want 4", g.NumArcs())
+	}
+	if got := g.Children(0); len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 3 {
+		t.Fatalf("Children(a) = %v, want [2 1 3] (first occurrences)", got)
+	}
+	if got := g.Parents(3); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("Parents(d) = %v, want [0 1]", got)
+	}
+	if got := g.InDegree(2); got != 1 {
+		t.Fatalf("InDegree(c) = %d, want 1", got)
 	}
 }
 
@@ -157,8 +185,8 @@ func TestFreezeDetectsCycle(t *testing.T) {
 }
 
 func TestFreezePreservesAdjacencyOrder(t *testing.T) {
-	// AddArc order is the contract: children and parents must list
-	// neighbours in insertion order, exactly like the pre-CSR Graph.
+	// AddArc order is the contract for children, exactly like the
+	// pre-CSR Graph; parents are listed in ascending index order.
 	b := New()
 	for _, n := range []string{"a", "b", "c", "d"} {
 		b.AddNode(n)
@@ -171,8 +199,8 @@ func TestFreezePreservesAdjacencyOrder(t *testing.T) {
 	if got := g.Children(0); len(got) != 2 || got[0] != 3 || got[1] != 1 {
 		t.Fatalf("Children(a) = %v, want [3 1] (insertion order)", got)
 	}
-	if got := g.Parents(3); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 1 {
-		t.Fatalf("Parents(d) = %v, want [0 2 1] (insertion order)", got)
+	if got := g.Parents(3); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("Parents(d) = %v, want [0 1 2] (ascending)", got)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 )
 
 // Frozen is the immutable compressed-sparse-row form of a dag, produced
-// by Builder.Freeze. Forward and backward adjacency live in one shared
-// arc arena: arena[childStart[v]:childStart[v+1]] are v's children and
-// arena[parentStart[v]:parentStart[v+1]] are v's parents (both start
-// slices hold absolute arena offsets, so Reverse can swap them over the
-// same arena). The topological order, its inverse permutation, and the
+// by FromArcs (and so by Builder.Freeze). Forward and backward adjacency
+// live in one shared arc arena: arena[childStart[v]:childStart[v+1]] are
+// v's children and arena[parentStart[v]:parentStart[v+1]] are v's
+// parents (both start slices hold absolute arena offsets, so Reverse can
+// swap them over the same arena). The topological order, its inverse permutation, and the
 // source list are computed once at freeze time; every accessor is a
 // bounds-checked slice view, so analysis passes traverse the graph
 // without copying adjacency.
@@ -95,28 +95,64 @@ func FromCSR(names []string, childStart, arena []int32) (*Frozen, error) {
 	return buildFrozen(names, nil, childStart, arena)
 }
 
+// FromArcs assembles a Frozen from node names and an arc list: arc i
+// runs from[i] -> to[i], both in [0, len(names)). Children(u) lists u's
+// children in the order of their first arc, a repeated arc is kept
+// once, and Parents(v) lists v's parents in ascending index order.
+// index, which may be nil, is kept for IndexOf, which ignores entries
+// outside [0, len(names)). FromArcs takes ownership of names, only reads
+// from and to, and returns an error if the arcs contain a cycle.
+func FromArcs(names []string, index map[string]int, from, to []int32) (*Frozen, error) {
+	n := len(names)
+	// A counting sort by source: childStart[u+1] counts u's arcs, prefix
+	// sums turn the counts into offsets, and the scatter places each
+	// target in its source's region in arc order, leaving childStart[u]
+	// at the end of u's region.
+	childStart := make([]int32, n+1)
+	for _, u := range from {
+		childStart[u+1]++
+	}
+	for u := 0; u < n; u++ {
+		childStart[u+1] += childStart[u]
+	}
+	arena := make([]int32, 2*len(from))
+	for i, u := range from {
+		arena[childStart[u]] = to[i]
+		childStart[u]++
+	}
+	// Collapse repeats in place, first occurrence kept, and set each
+	// region's final start: seen[v] == u+1 once v is among u's children.
+	seen := make([]int32, n)
+	var w, lo int32
+	for u := 0; u < n; u++ {
+		hi := childStart[u]
+		childStart[u] = w
+		for _, v := range arena[lo:hi] {
+			if seen[v] != int32(u)+1 {
+				seen[v] = int32(u) + 1
+				arena[w] = v
+				w++
+			}
+		}
+		lo = hi
+	}
+	childStart[n] = w
+	return buildFrozen(names, index, childStart, arena[:2*w])
+}
+
 // finish computes the topological precomputes (topo, pos, sources) and
 // returns an error if the graph is cyclic. scratch is reused for the
-// working storage when it has the capacity: the indegree counts at
-// cap >= n, and additionally the topo queue and position index (which
-// finish retains in the Frozen) at cap >= 3n.
+// working storage (the indegree counts, plus the topo queue and position
+// index that finish retains in the Frozen) when its capacity is at
+// least 3n; otherwise finish allocates them.
 func (f *Frozen) finish(scratch []int32) error {
 	n := f.NumNodes()
-	var indeg, queue, pos []int32
-	switch {
-	case cap(scratch) >= 3*n:
-		indeg = scratch[:n]
-		queue = scratch[n : n : 2*n]
-		pos = scratch[2*n : 3*n : 3*n]
-	case cap(scratch) >= n:
-		indeg = scratch[:n]
-		queue = make([]int32, 0, n)
-		pos = make([]int32, n)
-	default:
-		indeg = make([]int32, n)
-		queue = make([]int32, 0, n)
-		pos = make([]int32, n)
+	if cap(scratch) < 3*n {
+		scratch = make([]int32, 0, 3*n)
 	}
+	indeg := scratch[:n]
+	queue := scratch[n : n : 2*n]
+	pos := scratch[2*n : 3*n : 3*n]
 	for v := 0; v < n; v++ {
 		indeg[v] = f.parentStart[v+1] - f.parentStart[v]
 	}
@@ -194,9 +230,9 @@ func (f *Frozen) Names() []string { return f.names }
 //prio:pure
 func (f *Frozen) IndexOf(name string) int {
 	if f.index != nil {
-		// The map is shared with the builder that froze this graph, which
-		// may have grown since; ignore entries beyond our node range.
-		if i, ok := f.index[name]; ok && i < len(f.names) {
+		// The map is shared with whoever built this graph and may hold
+		// other names; ignore entries outside our node range.
+		if i, ok := f.index[name]; ok && i >= 0 && i < len(f.names) {
 			return i
 		}
 		return -1
@@ -209,8 +245,9 @@ func (f *Frozen) IndexOf(name string) int {
 	return -1
 }
 
-// Children returns the out-neighbours of v in arc-insertion order, as a
-// view into the shared arc arena. The caller must not modify it.
+// Children returns the out-neighbours of v in the order their arcs were
+// first added, as a view into the shared arc arena. The caller must not
+// modify it.
 //
 //prio:noalloc
 //prio:pure
@@ -219,8 +256,9 @@ func (f *Frozen) Children(v int) []int32 {
 	return f.arena[f.childStart[v]:f.childStart[v+1]]
 }
 
-// Parents returns the in-neighbours of v as a view into the shared arc
-// arena. The caller must not modify it.
+// Parents returns the in-neighbours of v in ascending index order (on a
+// Reverse graph: the original's children, in its order), as a view into
+// the shared arc arena. The caller must not modify it.
 //
 //prio:noalloc
 //prio:pure
@@ -376,33 +414,18 @@ func (f *Frozen) InducedSubgraph(nodes []int) (*Frozen, []int) {
 		toNew[v] = int32(len(orig))
 		orig = append(orig, v)
 	}
-	n := len(orig)
-	names := make([]string, n)
-	childStart := make([]int32, n+1)
+	names := make([]string, len(orig))
+	var from, to []int32
 	for i, v := range orig {
 		names[i] = f.names[v]
 		for _, c := range f.Children(v) {
-			if _, ok := toNew[int(c)]; ok {
-				childStart[i+1]++
-			}
-		}
-	}
-	var m int32
-	for i := 0; i < n; i++ {
-		m += childStart[i+1]
-		childStart[i+1] = m
-	}
-	arena := make([]int32, 2*m)
-	next := append([]int32(nil), childStart[:n]...)
-	for i, v := range orig {
-		for _, c := range f.Children(v) {
 			if nc, ok := toNew[int(c)]; ok {
-				arena[next[i]] = nc
-				next[i]++
+				from = append(from, int32(i))
+				to = append(to, nc)
 			}
 		}
 	}
-	sub, err := buildFrozen(names, nil, childStart, arena)
+	sub, err := FromArcs(names, nil, from, to)
 	if err != nil {
 		panic(err) // unreachable: an induced subgraph of a dag is a dag
 	}

@@ -11,12 +11,17 @@
 // attribute in each JSDF. The indirection through the jobpriority macro
 // is deliberate — a single JSDF may be shared by jobs of several DAGMan
 // files needing different priorities.
+//
+// Parse hashes each name once, into the File's one name table; from
+// there on dependencies and VARS lines carry ids, which Graph hands
+// straight to dag.FromArcs.
 package dagman
 
 import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -32,9 +37,6 @@ type Job struct {
 	Extra []string
 }
 
-// Dep is one parent -> child dependency.
-type Dep struct{ Parent, Child string }
-
 // lineKind tags a preserved input line.
 type lineKind int
 
@@ -46,10 +48,9 @@ const (
 )
 
 type line struct {
-	raw     string
-	kind    lineKind
-	jobIdx  int
-	varsJob string
+	raw  string
+	kind lineKind
+	id   int32 // lineJob: the Jobs index; lineVars: the named job's id
 }
 
 // File is a parsed DAGMan input file. It preserves enough of the
@@ -57,23 +58,30 @@ type line struct {
 // added or updated priority lines.
 type File struct {
 	Jobs []Job
-	Deps []Dep
+	// DepFrom[i] is a parent of DepTo[i], one pair per PARENT/CHILD
+	// combination in file order. A job's id is its Jobs index; a name no
+	// JOB line declares (a splice, or a typo Graph reports) is negative.
+	DepFrom, DepTo []int32
 	// Splices lists SPLICE statements; resolve them with Flatten before
 	// building the dependency graph.
 	Splices []Splice
 	lines   []line
-	index   map[string]int // job name -> Jobs index
-	// fieldsBuf is addLine's reusable tokenization scratch; any fields
-	// that outlive the line (job names, Extra tails) are retained as
-	// substrings of the input or copied out.
+	// index maps each name to its id. undeclared[k] is the name first
+	// seen with id -(k+1); alias[k] is its id at the end of Parse.
+	index      map[string]int
+	undeclared []string
+	alias      []int32
+	// fieldsBuf and idBuf are addLine's reusable scratch; fields that
+	// outlive the line are substrings of the input or copied out.
 	fieldsBuf []string
+	idBuf     []int32
 }
 
 // Parse reads a DAGMan input file. The whole input is read into one
 // string and every line, job name, and submit-file reference is a
 // substring of it, so parsing a file of L lines costs O(log L)
-// allocations beyond the retained Jobs/Deps/lines slices rather than a
-// line copy plus a token slice per line.
+// allocations beyond the retained Jobs/DepFrom/DepTo/lines slices rather
+// than a line copy plus a token slice per line.
 func Parse(r io.Reader) (*File, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -91,14 +99,50 @@ func Parse(r io.Reader) (*File, error) {
 			raw = text[start : start+end]
 			start += end + 1
 		}
-		// Like bufio.ScanLines, a \r\n terminator counts as a plain \n.
-		raw = strings.TrimSuffix(raw, "\r")
+		// A \r\n terminator counts as a plain \n, and so does any run of
+		// \r before it: a kept \r, white space to the tokenizer, would
+		// make String write a line that re-parses differently.
+		raw = strings.TrimRight(raw, "\r")
 		lineNo++
 		if err := f.addLine(raw, lineNo); err != nil {
 			return nil, err
 		}
 	}
+	// Names used before their JOB line take their Jobs index.
+	for _, ids := range [][]int32{f.DepFrom, f.DepTo} {
+		for i, id := range ids {
+			if id < 0 {
+				ids[i] = f.alias[-id-1]
+			}
+		}
+	}
+	for i := range f.lines {
+		if ln := &f.lines[i]; ln.kind == lineVars && ln.id < 0 {
+			ln.id = f.alias[-ln.id-1]
+		}
+	}
 	return f, nil
+}
+
+// id returns the id of name, giving a name not seen before the next
+// negative id.
+func (f *File) id(name string) int32 {
+	if id, ok := f.index[name]; ok {
+		return int32(id)
+	}
+	id := -int32(len(f.undeclared) + 1)
+	f.undeclared = append(f.undeclared, name)
+	f.alias = append(f.alias, id)
+	f.index[name] = int(id)
+	return id
+}
+
+// name returns the name with the given id.
+func (f *File) name(id int32) string {
+	if id >= 0 {
+		return f.Jobs[id].Name
+	}
+	return f.undeclared[-id-1]
 }
 
 // ParseFile reads a DAGMan input file from disk.
@@ -154,7 +198,8 @@ func (f *File) addLine(raw string, lineNo int) error {
 			return fmt.Errorf("dagman: line %d: JOB needs a name and a submit file", lineNo)
 		}
 		name := fields[1]
-		if _, dup := f.index[name]; dup {
+		id, seen := f.index[name]
+		if seen && id >= 0 {
 			return fmt.Errorf("dagman: line %d: duplicate job %q", lineNo, name)
 		}
 		for _, s := range f.Splices {
@@ -162,9 +207,12 @@ func (f *File) addLine(raw string, lineNo int) error {
 				return fmt.Errorf("dagman: line %d: job %q collides with a splice name", lineNo, name)
 			}
 		}
+		if seen {
+			f.alias[-id-1] = int32(len(f.Jobs))
+		}
 		f.index[name] = len(f.Jobs)
 		f.Jobs = append(f.Jobs, Job{Name: name, SubmitFile: fields[2], Extra: cloneTail(fields[3:])})
-		f.lines = append(f.lines, line{raw: raw, kind: lineJob, jobIdx: len(f.Jobs) - 1})
+		f.lines = append(f.lines, line{raw: raw, kind: lineJob, id: int32(len(f.Jobs) - 1)})
 	case "PARENT":
 		childAt := -1
 		for i, tok := range fields {
@@ -176,11 +224,19 @@ func (f *File) addLine(raw string, lineNo int) error {
 		if childAt < 2 || childAt == len(fields)-1 {
 			return fmt.Errorf("dagman: line %d: PARENT ... CHILD ... malformed", lineNo)
 		}
+		children := f.idBuf[:0]
+		for _, c := range fields[childAt+1:] {
+			children = append(children, f.id(c))
+		}
+		f.idBuf = children
 		parents := fields[1:childAt]
-		children := fields[childAt+1:]
+		f.DepFrom = slices.Grow(f.DepFrom, len(parents)*len(children))
+		f.DepTo = slices.Grow(f.DepTo, len(parents)*len(children))
 		for _, p := range parents {
-			for _, c := range children {
-				f.Deps = append(f.Deps, Dep{Parent: p, Child: c})
+			u := f.id(p)
+			for _, v := range children {
+				f.DepFrom = append(f.DepFrom, u)
+				f.DepTo = append(f.DepTo, v)
 			}
 		}
 		f.lines = append(f.lines, line{raw: raw, kind: lineDep})
@@ -188,7 +244,7 @@ func (f *File) addLine(raw string, lineNo int) error {
 		if len(fields) < 3 {
 			return fmt.Errorf("dagman: line %d: VARS needs a job and an assignment", lineNo)
 		}
-		f.lines = append(f.lines, line{raw: raw, kind: lineVars, varsJob: fields[1]})
+		f.lines = append(f.lines, line{raw: raw, kind: lineVars, id: f.id(fields[1])})
 	case "SPLICE":
 		return f.parseSplice(fields, raw, lineNo)
 	default:
@@ -201,7 +257,7 @@ func (f *File) addLine(raw string, lineNo int) error {
 // Job returns the named job, if declared.
 func (f *File) Job(name string) (Job, bool) {
 	i, ok := f.index[name]
-	if !ok {
+	if !ok || i < 0 {
 		return Job{}, false
 	}
 	return f.Jobs[i], true
@@ -210,31 +266,21 @@ func (f *File) Job(name string) (Job, bool) {
 // Graph builds the dependency dag: one node per JOB in declaration
 // order, one arc per PARENT/CHILD pair. Dependencies naming undeclared
 // jobs are errors; duplicate dependencies are tolerated (DAGMan accepts
-// them) and collapsed.
+// them) and collapsed by dag.FromArcs.
 func (f *File) Graph() (*dag.Frozen, error) {
 	if len(f.Splices) > 0 {
 		return nil, fmt.Errorf("dagman: file contains %d unresolved SPLICE statements; call Flatten first", len(f.Splices))
 	}
-	b := dag.NewWithCapacity(len(f.Jobs))
-	for _, j := range f.Jobs {
-		b.AddNode(j.Name)
-	}
-	for _, d := range f.Deps {
-		u, v := b.IndexOf(d.Parent), b.IndexOf(d.Child)
-		if u < 0 {
-			return nil, fmt.Errorf("dagman: dependency names undeclared job %q", d.Parent)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("dagman: dependency names undeclared job %q", d.Child)
-		}
-		if b.HasArc(u, v) {
-			continue
-		}
-		if err := b.AddArc(u, v); err != nil {
-			return nil, fmt.Errorf("dagman: %w", err)
+	for i, u := range f.DepFrom {
+		if id := min(u, f.DepTo[i]); id < 0 {
+			return nil, fmt.Errorf("dagman: dependency names undeclared job %q", f.name(id))
 		}
 	}
-	g, err := b.Freeze()
+	names := make([]string, len(f.Jobs))
+	for i, j := range f.Jobs {
+		names[i] = j.Name
+	}
+	g, err := dag.FromArcs(names, f.index, f.DepFrom, f.DepTo)
 	if err != nil {
 		return nil, fmt.Errorf("dagman: dependencies are cyclic: %w", err)
 	}
@@ -247,25 +293,25 @@ func (f *File) Graph() (*dag.Frozen, error) {
 // existing line get one immediately after their JOB statement, which is
 // where Fig. 3 shows them.
 func (f *File) Instrument(priorities map[string]int) string {
-	covered := make(map[string]bool, len(priorities))
-	// One pass up front over the VARS lines: which jobs already carry a
-	// jobpriority attribute somewhere in the file. Scanning per JOB
-	// line instead made Instrument quadratic in file length — tens of
-	// seconds on the 48k-job SDSS dag, dominating the instrumented
-	// parse→schedule→write pipeline.
-	hasPriority := make(map[string]bool)
+	// One pass up front over the VARS lines: which names (by off+id)
+	// already carry a jobpriority attribute somewhere in the file.
+	// Scanning per JOB line instead made Instrument quadratic in file
+	// length — tens of seconds on the 48k-job SDSS dag, dominating the
+	// instrumented parse→schedule→write pipeline.
+	off := len(f.undeclared)
+	hasPriority := make([]bool, off+len(f.Jobs))
 	for _, ln := range f.lines {
 		if ln.kind == lineVars && strings.Contains(ln.raw, "jobpriority") {
-			hasPriority[ln.varsJob] = true
+			hasPriority[off+int(ln.id)] = true
 		}
 	}
 	var b strings.Builder
 	for _, ln := range f.lines {
 		switch ln.kind {
 		case lineVars:
-			if p, ok := priorities[ln.varsJob]; ok && strings.Contains(ln.raw, "jobpriority") {
-				fmt.Fprintf(&b, "Vars %s jobpriority=\"%d\"\n", ln.varsJob, p)
-				covered[ln.varsJob] = true
+			name := f.name(ln.id)
+			if p, ok := priorities[name]; ok && strings.Contains(ln.raw, "jobpriority") {
+				fmt.Fprintf(&b, "Vars %s jobpriority=\"%d\"\n", name, p)
 				continue
 			}
 			b.WriteString(ln.raw)
@@ -273,10 +319,9 @@ func (f *File) Instrument(priorities map[string]int) string {
 		case lineJob:
 			b.WriteString(ln.raw)
 			b.WriteByte('\n')
-			name := f.Jobs[ln.jobIdx].Name
-			if p, ok := priorities[name]; ok && !covered[name] && !hasPriority[name] {
+			name := f.Jobs[ln.id].Name
+			if p, ok := priorities[name]; ok && !hasPriority[off+int(ln.id)] {
 				fmt.Fprintf(&b, "Vars %s jobpriority=\"%d\"\n", name, p)
-				covered[name] = true
 			}
 		default:
 			b.WriteString(ln.raw)
@@ -288,10 +333,7 @@ func (f *File) Instrument(priorities map[string]int) string {
 	// priorities from this very file, making this a no-op.
 	var missing []string
 	for name := range priorities {
-		if _, declared := f.index[name]; declared {
-			continue
-		}
-		if !covered[name] {
+		if id, ok := f.index[name]; !ok || (id < 0 && !hasPriority[off+id]) {
 			missing = append(missing, name)
 		}
 	}

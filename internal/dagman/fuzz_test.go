@@ -8,7 +8,10 @@ import (
 
 // FuzzParse hammers the DAGMan parser with arbitrary input: it must
 // never panic, and any file it accepts must round-trip through String
-// to an equivalent parse (same jobs, same dependency count).
+// to an equivalent parse (same jobs, same dependency count). When an
+// accepted file without splices builds a graph, its arcs must be exactly
+// the distinct (parent, child) name pairs of the PARENT lines, as read
+// by parentPairs.
 func FuzzParse(f *testing.F) {
 	f.Add("Job a a.sub\nParent a Child b\n")
 	f.Add(fig3Text)
@@ -25,18 +28,55 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted file failed to re-parse: %v\ninput: %q", err, input)
 		}
-		if len(again.Jobs) != len(file.Jobs) || len(again.Deps) != len(file.Deps) || len(again.Splices) != len(file.Splices) {
+		if len(again.Jobs) != len(file.Jobs) || len(again.DepFrom) != len(file.DepFrom) || len(again.Splices) != len(file.Splices) {
 			t.Fatalf("round trip changed shape: %d/%d jobs, %d/%d deps",
-				len(file.Jobs), len(again.Jobs), len(file.Deps), len(again.Deps))
+				len(file.Jobs), len(again.Jobs), len(file.DepFrom), len(again.DepFrom))
 		}
 		// Building the graph must never panic either (errors are fine;
-		// Freeze validates acyclicity internally).
-		if len(file.Splices) == 0 {
-			if g, err := file.Graph(); err == nil && g.NumNodes() != len(file.Jobs) {
-				t.Fatalf("graph has %d nodes for %d jobs", g.NumNodes(), len(file.Jobs))
+		// dag.FromArcs validates acyclicity internally).
+		if len(file.Splices) > 0 {
+			return
+		}
+		g, err := file.Graph()
+		if err != nil {
+			return
+		}
+		if g.NumNodes() != len(file.Jobs) {
+			t.Fatalf("graph has %d nodes for %d jobs", g.NumNodes(), len(file.Jobs))
+		}
+		want := parentPairs(input)
+		if g.NumArcs() != len(want) {
+			t.Fatalf("graph has %d arcs, PARENT lines name %d distinct pairs", g.NumArcs(), len(want))
+		}
+		for _, a := range g.Arcs() {
+			if pair := [2]string{g.Name(a.From), g.Name(a.To)}; !want[pair] {
+				t.Fatalf("arc %s -> %s is on no PARENT line", pair[0], pair[1])
 			}
 		}
 	})
+}
+
+// parentPairs reads the (parent, child) name pairs of every PARENT line
+// of a DAGMan file with a plain strings.Fields scan, independently of
+// Parse.
+func parentPairs(text string) map[[2]string]bool {
+	pairs := make(map[[2]string]bool)
+	for _, ln := range strings.Split(text, "\n") {
+		fields := strings.Fields(ln)
+		if len(fields) == 0 || !strings.EqualFold(fields[0], "PARENT") {
+			continue
+		}
+		child := 1
+		for !strings.EqualFold(fields[child], "CHILD") {
+			child++
+		}
+		for _, p := range fields[1:child] {
+			for _, c := range fields[child+1:] {
+				pairs[[2]string{p, c}] = true
+			}
+		}
+	}
+	return pairs
 }
 
 // FuzzParseSubmit does the same for the JSDF parser and its
@@ -90,8 +130,8 @@ func FuzzParseDAGMan(f *testing.F) {
 		if !reflect.DeepEqual(again.Jobs, file.Jobs) {
 			t.Fatalf("round trip changed jobs: %v -> %v", file.Jobs, again.Jobs)
 		}
-		if !reflect.DeepEqual(again.Deps, file.Deps) {
-			t.Fatalf("round trip changed deps: %v -> %v", file.Deps, again.Deps)
+		if !reflect.DeepEqual(again.DepFrom, file.DepFrom) || !reflect.DeepEqual(again.DepTo, file.DepTo) {
+			t.Fatalf("round trip changed deps: %v -> %v to %v -> %v", file.DepFrom, file.DepTo, again.DepFrom, again.DepTo)
 		}
 		if !reflect.DeepEqual(again.Splices, file.Splices) {
 			t.Fatalf("round trip changed splices: %v -> %v", file.Splices, again.Splices)

@@ -25,7 +25,7 @@ func (f *File) parseSplice(fields []string, raw string, lineNo int) error {
 		return fmt.Errorf("dagman: line %d: SPLICE needs a name and a file", lineNo)
 	}
 	name := fields[1]
-	if _, dup := f.index[name]; dup {
+	if id, seen := f.index[name]; seen && id >= 0 {
 		return fmt.Errorf("dagman: line %d: splice %q collides with a job name", lineNo, name)
 	}
 	for _, s := range f.Splices {
@@ -99,8 +99,8 @@ func (f *File) flatten(load func(string) (*File, error), stack []string) (*File,
 				fmt.Fprintf(&b, "Vars %s %s\n", prefix+fields[1], strings.Join(fields[2:], " "))
 			}
 		}
-		for _, d := range flat.Deps {
-			fmt.Fprintf(&b, "Parent %s Child %s\n", prefix+d.Parent, prefix+d.Child)
+		for i, u := range flat.DepFrom {
+			fmt.Fprintf(&b, "Parent %s Child %s\n", prefix+flat.name(u), prefix+flat.name(flat.DepTo[i]))
 		}
 		var info spliceInfo
 		for _, v := range g.Sources() {
@@ -113,13 +113,14 @@ func (f *File) flatten(load func(string) (*File, error), stack []string) (*File,
 	}
 
 	// Outer dependencies, expanding splice references.
-	for _, d := range f.Deps {
-		parents := []string{d.Parent}
-		if info, ok := infos[d.Parent]; ok {
+	for i, u := range f.DepFrom {
+		parent, child := f.name(u), f.name(f.DepTo[i])
+		parents := []string{parent}
+		if info, ok := infos[parent]; ok {
 			parents = info.sinks
 		}
-		children := []string{d.Child}
-		if info, ok := infos[d.Child]; ok {
+		children := []string{child}
+		if info, ok := infos[child]; ok {
 			children = info.sources
 		}
 		for _, p := range parents {

@@ -169,9 +169,7 @@ func (d *decomposer) addDependencyArcs() {
 			if b == -1 || b == a {
 				continue
 			}
-			if !d.superB.HasArc(a, b) {
-				d.superB.MustAddArc(a, b)
-			}
+			d.superB.MustAddArc(a, b)
 		}
 	}
 }
@@ -392,9 +390,7 @@ func (d *decomposer) detach(b *block, bipartite, fastPath bool) {
 
 	for _, v := range nodes {
 		if prev := d.owner[v]; prev != -1 && prev != comp.Index {
-			if !d.superB.HasArc(prev, comp.Index) {
-				d.superB.MustAddArc(prev, comp.Index)
-			}
+			d.superB.MustAddArc(prev, comp.Index)
 		}
 		d.owner[v] = comp.Index
 	}

@@ -23,7 +23,7 @@ import (
 // every input also runs through the kernel with the fast path forced
 // off (noFast), which must agree bit for bit — for order-sensitive
 // policies that is the same path twice, for Oblivious inputs it is the
-// fast calendar against the sort-merge queue. And when the input lands
+// wheel's wholesale drain against its ordered pop. And when the input lands
 // in the fast path's domain (Oblivious, no failures, no rollover), the
 // result is additionally checked against runNaiveOblivious, an
 // independent quadratic rescan specification that shares no eligibility

@@ -10,10 +10,11 @@ import (
 )
 
 // TestFastPathMatchesOrdered pins the order-free kernel to the ordered
-// sort-merge kernel on paper-scale dags across the batch regimes the
-// grids sweep — tiny interarrivals (many near-empty drain windows),
-// balanced, and huge batches (one window drains thousands of events) —
-// for both oblivious policies. The fuzz target covers the same
+// kernel, which pops the calendar wheel in exact time order, on
+// paper-scale dags across the batch regimes the grids sweep — tiny
+// interarrivals (many near-empty drain windows), balanced, and huge
+// batches (one window drains thousands of events) — for both oblivious
+// policies. The fuzz target covers the same
 // equivalence on arbitrary 8-node dags; this test covers real widths,
 // where the calendar's bucket walk, boundary filtering, and occupancy
 // jumps actually engage.
